@@ -34,10 +34,28 @@ func newCluster(t *testing.T, seed int64, ids ...string) *cluster {
 		applied: make(map[string][]string),
 	}
 	t.Cleanup(c.clock.Stop)
+	// Freeze virtual time until run enqueues the scenario body: otherwise
+	// the first node's election timer can fire (and fail against peers not
+	// yet registered) in a real-time race with the rest of construction.
+	c.clock.Hold()
 	for _, id := range ids {
 		c.start(id, seed, ids, NewMemStore())
 	}
 	return c
+}
+
+// run executes fn as the scenario body and blocks until it returns. It
+// releases the hold newCluster took once the body is enqueued, so every
+// run of a seed starts its election timers and its body at the same
+// virtual instant.
+func (c *cluster) run(fn func()) {
+	done := make(chan struct{})
+	c.clock.Go(func() {
+		defer close(done)
+		fn()
+	})
+	c.clock.Release()
+	<-done
 }
 
 func (c *cluster) start(id string, seed int64, members []string, store *Store) {
@@ -166,7 +184,7 @@ func (c *cluster) waitApplied(ids []string, want []string, timeout time.Duration
 
 func TestElectionReplicationAndApply(t *testing.T) {
 	c := newCluster(t, 7, "a", "b", "c")
-	c.clock.Run(func() {
+	c.run(func() {
 		lead := c.leaderOf(5 * time.Second)
 		var want []string
 		for i := 0; i < 5; i++ {
@@ -186,7 +204,7 @@ func TestElectionReplicationAndApply(t *testing.T) {
 
 func TestFollowerRedirects(t *testing.T) {
 	c := newCluster(t, 11, "a", "b", "c")
-	c.clock.Run(func() {
+	c.run(func() {
 		lead := c.leaderOf(5 * time.Second)
 		// Followers must fail fast with a typed redirect at the leader.
 		for _, id := range []string{"a", "b", "c"} {
@@ -212,7 +230,7 @@ func TestFollowerRedirects(t *testing.T) {
 
 func TestLeaderFailover(t *testing.T) {
 	c := newCluster(t, 23, "a", "b", "c")
-	c.clock.Run(func() {
+	c.run(func() {
 		lead := c.leaderOf(5 * time.Second)
 		if _, err := lead.Submit([]byte("before"), 2*time.Second); err != nil {
 			t.Fatalf("submit before: %v", err)
@@ -246,7 +264,7 @@ func TestLeaderFailover(t *testing.T) {
 
 func TestLeaseLapsesWhenIsolated(t *testing.T) {
 	c := newCluster(t, 31, "a", "b", "c")
-	c.clock.Run(func() {
+	c.run(func() {
 		lead := c.leaderOf(5 * time.Second)
 		// Cut the leader off from both peers: its lease must lapse, and
 		// Gate must stop admitting writes even though it still thinks it
@@ -319,7 +337,7 @@ func TestRestartRetainsLogAndVote(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func() (leader string, events []string) {
 		c := newCluster(t, 99, "a", "b", "c")
-		c.clock.Run(func() {
+		c.run(func() {
 			lead := c.leaderOf(5 * time.Second)
 			leader = lead.ID()
 			for i := 0; i < 3; i++ {

@@ -22,6 +22,7 @@ package objmodel
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"sync"
 
 	"obiwan/internal/codec"
@@ -35,7 +36,7 @@ type OID uint64
 
 // String formats the OID as site/sequence.
 func (o OID) String() string {
-	return fmt.Sprintf("%d/%d", uint64(o)>>48, uint64(o)&((1<<48)-1))
+	return strconv.FormatUint(uint64(o)>>48, 10) + "/" + strconv.FormatUint(uint64(o)&((1<<48)-1), 10)
 }
 
 // Info describes a registered OBIWAN object type.

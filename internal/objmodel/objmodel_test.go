@@ -396,9 +396,14 @@ func TestBindLocalSplice(t *testing.T) {
 }
 
 func TestOIDString(t *testing.T) {
-	oid := OID(uint64(3)<<48 | 42)
-	if got := oid.String(); got != "3/42" {
-		t.Fatalf("oid string: %q", got)
+	for oid, want := range map[OID]string{
+		OID(uint64(3)<<48 | 42): "3/42",
+		0:                       "0/0",
+		OID(^uint64(0)):         "65535/281474976710655",
+	} {
+		if got := oid.String(); got != want {
+			t.Fatalf("oid %#x string: %q, want %q", uint64(oid), got, want)
+		}
 	}
 }
 

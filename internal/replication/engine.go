@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -424,10 +425,12 @@ func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objm
 // span of the inbound Get when the demand was traced, invalid otherwise.
 func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSpec, requester string) (payload *Payload, err error) {
 	span := e.startSpan(sc, "assemble")
-	span.Annotate("oid", fmt.Sprint(root.OID))
+	if span != nil {
+		span.Annotate("oid", root.OID.String())
+	}
 	defer func() {
-		if payload != nil {
-			span.Annotate("objects", fmt.Sprint(len(payload.Objects)))
+		if payload != nil && span != nil {
+			span.Annotate("objects", strconv.Itoa(len(payload.Objects)))
 		}
 		span.SetErr(err)
 		span.End()
@@ -559,8 +562,10 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 // assemble on the provider, then materialize back here.
 func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, err error) {
 	span := e.startSpan(sc, "materialize")
-	span.Annotate("oid", fmt.Sprint(objmodel.OID(p.RootOID)))
-	span.Annotate("objects", fmt.Sprint(len(p.Objects)))
+	if span != nil {
+		span.Annotate("oid", objmodel.OID(p.RootOID).String())
+		span.Annotate("objects", strconv.Itoa(len(p.Objects)))
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -764,7 +769,9 @@ func (e *Engine) PutTraced(sc telemetry.SpanContext, obj any) (err error) {
 		return ErrNoProvider
 	}
 	span := e.startSpan(sc, "put")
-	span.Annotate("oid", fmt.Sprint(entry.OID))
+	if span != nil {
+		span.Annotate("oid", entry.OID.String())
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -810,7 +817,9 @@ func (e *Engine) PutClusterTraced(sc telemetry.SpanContext, obj any) (err error)
 	}
 	root := entry.ClusterRoot()
 	span := e.startSpan(sc, "put.cluster")
-	span.Annotate("root", fmt.Sprint(root))
+	if span != nil {
+		span.Annotate("root", root.String())
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -899,7 +908,9 @@ func (e *Engine) buildPutRequest(entry *heap.Entry) (*PutRequest, error) {
 // sc parents the "put.apply" span — the serve span of the inbound Put.
 func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *PutReply, err error) {
 	span := e.startSpan(sc, "put.apply")
-	span.Annotate("oid", fmt.Sprint(objmodel.OID(req.OID)))
+	if span != nil {
+		span.Annotate("oid", objmodel.OID(req.OID).String())
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -982,7 +993,9 @@ func (e *Engine) RefreshTraced(sc telemetry.SpanContext, obj any) (err error) {
 	clk := e.rt.Clock()
 	start := clk.Now()
 	span := e.startSpan(sc, "refresh")
-	span.Annotate("oid", fmt.Sprint(entry.OID))
+	if span != nil {
+		span.Annotate("oid", entry.OID.String())
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()

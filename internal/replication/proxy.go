@@ -154,7 +154,9 @@ func (p *ProxyOut) demand(sc telemetry.SpanContext, spec GetSpec) (obj any, inv 
 	clk := p.eng.rt.Clock()
 	start := clk.Now()
 	span := p.eng.startSpan(sc, "fault")
-	span.Annotate("oid", fmt.Sprint(p.oid))
+	if span != nil {
+		span.Annotate("oid", p.oid.String())
+	}
 	defer func() {
 		span.SetErr(err)
 		span.End()

@@ -174,9 +174,10 @@ type Runtime struct {
 		latency      *telemetry.Histogram
 	}
 
-	ln     transport.Listener
-	closed chan struct{}
-	wg     *netsim.WaitGroup // clock-aware: Close can wait under a virtual clock
+	ln      transport.Listener
+	closed  chan struct{}
+	wg      *netsim.WaitGroup // clock-aware: Close can wait under a virtual clock
+	workers serveWorkers      // parked dispatch goroutines (real clock only)
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // backoff jitter
@@ -396,6 +397,7 @@ func (rt *Runtime) Close() error {
 	}
 	rt.mu.Unlock()
 
+	rt.workers.close()
 	_ = rt.ln.Close()
 	for _, c := range conns {
 		c.shutdown(ErrRuntimeClosed)
@@ -421,7 +423,7 @@ func (rt *Runtime) acceptLoop() {
 }
 
 // serveConn reads call frames from one inbound connection and dispatches
-// each in its own goroutine, like RMI's per-call threads.
+// each on its own goroutine, like RMI's per-call threads (see runServe).
 func (rt *Runtime) serveConn(conn transport.Conn) {
 	defer rt.wg.Done()
 	defer conn.Close()
@@ -499,11 +501,85 @@ func (rt *Runtime) serveConn(conn transport.Conn) {
 			continue
 		}
 		handlers.Add(1)
-		rt.clock.Go(func() {
+		rt.runServe(func() {
 			defer handlers.Done()
 			serve()
 		})
 	}
+}
+
+// maxIdleServeWorkers bounds how many dispatch workers a runtime keeps
+// parked between calls. It bounds idle goroutines only: busy workers are
+// unbounded.
+const maxIdleServeWorkers = 16
+
+// serveWorkers is the runtime's set of parked dispatch goroutines. Each
+// idle worker waits on its own one-slot channel for the next call.
+type serveWorkers struct {
+	mu     sync.Mutex
+	idle   []chan func() // LIFO: the most recently used stack is the warmest
+	closed bool
+}
+
+// runServe runs one served call on a parked worker, whose stack has
+// already grown through reflective dispatch, and starts a new worker only
+// when none is idle. Concurrency therefore stays unbounded, as with RMI's
+// per-call threads: a handler blocked in a nested call back into this
+// runtime never starves the call it is waiting for.
+func (rt *Runtime) runServe(task func()) {
+	w := &rt.workers
+	w.mu.Lock()
+	if n := len(w.idle); n > 0 {
+		ch := w.idle[n-1]
+		w.idle = w.idle[:n-1]
+		w.mu.Unlock()
+		ch <- task // never blocks: the slot is empty while a worker is parked
+		return
+	}
+	w.mu.Unlock()
+	rt.wg.Add(1)
+	rt.clock.Go(func() { rt.serveWorker(task) })
+}
+
+// serveWorker runs task, then parks for the next one until the runtime
+// closes or the idle set is full.
+func (rt *Runtime) serveWorker(task func()) {
+	defer rt.wg.Done()
+	var next chan func()
+	for task != nil {
+		task()
+		if next == nil {
+			next = make(chan func(), 1)
+		}
+		if !rt.workers.park(next) {
+			return
+		}
+		task = <-next // nil once close releases the worker
+	}
+}
+
+// park offers an idle worker's channel for reuse; false tells the worker
+// to exit.
+func (w *serveWorkers) park(next chan func()) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed || len(w.idle) >= maxIdleServeWorkers {
+		return false
+	}
+	w.idle = append(w.idle, next)
+	return true
+}
+
+// close releases every parked worker and makes busy ones exit once their
+// call returns. Calls still arriving get a worker of their own.
+func (w *serveWorkers) close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closed = true
+	for _, next := range w.idle {
+		close(next)
+	}
+	w.idle = nil
 }
 
 // dispatchOnce runs one inbound call at most once: a (Client, ID) pair

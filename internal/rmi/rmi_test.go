@@ -3,6 +3,7 @@ package rmi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -284,6 +285,94 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	// All calls shared one connection: exactly one dial happened.
 	if got := len(client.conns); got != 1 {
 		t.Fatalf("connection pool size %d, want 1", got)
+	}
+}
+
+// bouncer relays Bounce to its peer until depth runs out. The innermost
+// call waits until every chain has reached its innermost level, so every
+// handler of every chain is blocked in flight at the same moment.
+type bouncer struct {
+	rt      *Runtime
+	peer    RemoteRef
+	arrived *sync.WaitGroup
+}
+
+func (b *bouncer) Bounce(depth int64) (int64, error) {
+	if depth == 0 {
+		b.arrived.Done()
+		b.arrived.Wait()
+		return 0, nil
+	}
+	res, err := b.rt.Call(b.peer, "Bounce", depth-1)
+	if err != nil {
+		return 0, err
+	}
+	return res[0].(int64) + 1, nil
+}
+
+// TestReentrantCallsBeyondIdleWorkers runs A→B→A→B call chains over the
+// two runtimes' shared connections, with more handlers blocked in nested
+// calls than the runtime keeps idle dispatch workers. Every chain must
+// complete, no more workers than the cap may stay parked, and Close must
+// release them all.
+func TestReentrantCallsBeyondIdleWorkers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	net := transport.NewMemNetwork(netsim.Loopback)
+	a, err := NewRuntime(net, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRuntime(net, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chains, depth = 3 * maxIdleServeWorkers, 3
+	var arrived sync.WaitGroup
+	arrived.Add(chains)
+	ba := &bouncer{rt: a, arrived: &arrived}
+	bb := &bouncer{rt: b, arrived: &arrived}
+	refA, _ := a.Export(ba, "Bouncer")
+	refB, _ := b.Export(bb, "Bouncer")
+	ba.peer, bb.peer = refB, refA
+
+	var wg sync.WaitGroup
+	errs := make(chan error, chains)
+	for i := 0; i < chains; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := a.Call(refB, "Bounce", int64(depth))
+			if err != nil {
+				errs <- err
+			} else if res[0] != int64(depth) {
+				errs <- fmt.Errorf("chain returned %v, want %d", res[0], depth)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := len(a.conns) + len(b.conns); got != 2 {
+		t.Errorf("%d client connections, want one each way", got)
+	}
+	for _, rt := range []*Runtime{a, b} {
+		rt.workers.mu.Lock()
+		idle := len(rt.workers.idle)
+		rt.workers.mu.Unlock()
+		if idle > maxIdleServeWorkers {
+			t.Errorf("%s parks %d idle workers, cap %d", rt.Addr(), idle, maxIdleServeWorkers)
+		}
+	}
+	_ = a.Close()
+	_ = b.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after Close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -144,16 +145,57 @@ const defaultProfileCapacity = 256
 // hot-object profiles. A nil *Profiler (telemetry disabled) no-ops on
 // every method, matching the Hub's nil-receiver fast path. Safe for
 // concurrent use.
+//
+// Tracked profiles sit in an indexed min-heap ordered by (heat
+// ascending, OID descending), so the eviction victim is always the root
+// and meeting a new OID at capacity costs O(log K), not a scan of all K.
 type Profiler struct {
 	mu       sync.Mutex
 	capacity int
-	objects  map[uint64]*ObjectProfile
+	objects  map[uint64]*profileEntry
+	cold     coldHeap
 	evicted  uint64
 
 	// Site-wide demand cost, survives per-object eviction: the Advisor's
 	// fallback estimate for objects never fetched here before.
 	totFaultNS int64
 	totDemands uint64
+}
+
+// profileEntry is one tracked profile with its cached heat and its
+// position in the cold heap.
+type profileEntry struct {
+	prof ObjectProfile
+	heat uint64
+	idx  int
+}
+
+// coldHeap is a container/heap min-heap whose root is the coldest
+// tracked profile: lowest heat, highest OID on ties, so the keep-set is
+// deterministic.
+type coldHeap []*profileEntry
+
+func (h coldHeap) Len() int { return len(h) }
+func (h coldHeap) Less(i, j int) bool {
+	if h[i].heat != h[j].heat {
+		return h[i].heat < h[j].heat
+	}
+	return h[i].prof.OID > h[j].prof.OID
+}
+func (h coldHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *coldHeap) Push(x any) {
+	e := x.(*profileEntry)
+	e.idx = len(*h)
+	*h = append(*h, e)
+}
+func (h *coldHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // NewProfiler builds a profiler tracking at most capacity objects
@@ -164,33 +206,41 @@ func NewProfiler(capacity int) *Profiler {
 	}
 	return &Profiler{
 		capacity: capacity,
-		objects:  make(map[uint64]*ObjectProfile, capacity),
+		objects:  make(map[uint64]*profileEntry, capacity),
+		cold:     make(coldHeap, 0, capacity),
 	}
 }
 
-// get returns (creating, evicting as needed) the profile for oid.
-// Callers hold p.mu.
-func (p *Profiler) get(oid uint64) *ObjectProfile {
-	if o, ok := p.objects[oid]; ok {
-		return o
+// get returns (creating, evicting as needed) the profile for oid. The
+// caller updates the profile and then calls touch, which restores the
+// heap order; until then only this entry may be out of place. Callers
+// hold p.mu.
+func (p *Profiler) get(oid uint64) *profileEntry {
+	if e, ok := p.objects[oid]; ok {
+		return e
 	}
-	if len(p.objects) >= p.capacity {
-		// Evict the coldest tracked object (lowest heat; highest OID on
-		// ties, so the keep-set is deterministic).
-		var coldOID uint64
-		coldHeat := ^uint64(0)
-		for id, o := range p.objects {
-			h := o.Heat()
-			if h < coldHeat || (h == coldHeat && id > coldOID) {
-				coldOID, coldHeat = id, h
-			}
-		}
-		delete(p.objects, coldOID)
+	if len(p.cold) >= p.capacity {
+		// Evict the coldest tracked object and reuse its entry in place
+		// at the root for the newcomer.
+		e := p.cold[0]
+		delete(p.objects, e.prof.OID)
 		p.evicted++
+		e.prof = ObjectProfile{OID: oid}
+		e.heat = 0
+		p.objects[oid] = e
+		return e
 	}
-	o := &ObjectProfile{OID: oid}
-	p.objects[oid] = o
-	return o
+	e := &profileEntry{prof: ObjectProfile{OID: oid}, idx: len(p.cold)}
+	p.cold = append(p.cold, e)
+	p.objects[oid] = e
+	return e
+}
+
+// touch re-caches e's heat after a Record* and moves it to its place in
+// the cold heap. Callers hold p.mu.
+func (p *Profiler) touch(e *profileEntry) {
+	e.heat = e.prof.Heat()
+	heap.Fix(&p.cold, e.idx)
 }
 
 // RecordFault records one resolved object fault: fromHeap marks faults
@@ -201,7 +251,8 @@ func (p *Profiler) RecordFault(oid uint64, fromHeap, clustered bool, objects, by
 		return
 	}
 	p.mu.Lock()
-	o := p.get(oid)
+	e := p.get(oid)
+	o := &e.prof
 	o.Faults++
 	if fromHeap {
 		o.HeapHits++
@@ -216,6 +267,7 @@ func (p *Profiler) RecordFault(oid uint64, fromHeap, clustered bool, objects, by
 		p.totFaultNS += int64(elapsed)
 		p.totDemands++
 	}
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -226,7 +278,8 @@ func (p *Profiler) RecordRefresh(oid uint64, clustered bool, objects, bytes int,
 		return
 	}
 	p.mu.Lock()
-	o := p.get(oid)
+	e := p.get(oid)
+	o := &e.prof
 	o.RemoteDemands++
 	if clustered {
 		o.ClusterDemands++
@@ -236,6 +289,7 @@ func (p *Profiler) RecordRefresh(oid uint64, clustered bool, objects, bytes int,
 	o.FaultNS += int64(elapsed)
 	p.totFaultNS += int64(elapsed)
 	p.totDemands++
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -245,10 +299,12 @@ func (p *Profiler) RecordServe(oid uint64, objects, bytes int) {
 		return
 	}
 	p.mu.Lock()
-	o := p.get(oid)
+	e := p.get(oid)
+	o := &e.prof
 	o.Serves++
 	o.ServeObjects += uint64(objects)
 	o.ServeBytes += uint64(bytes)
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -259,12 +315,14 @@ func (p *Profiler) RecordInvoke(oid uint64, remote bool) {
 		return
 	}
 	p.mu.Lock()
-	o := p.get(oid)
+	e := p.get(oid)
+	o := &e.prof
 	if remote {
 		o.RMICalls++
 	} else {
 		o.LMICalls++
 	}
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -274,7 +332,9 @@ func (p *Profiler) RecordPutShipped(oid uint64) {
 		return
 	}
 	p.mu.Lock()
-	p.get(oid).PutsShipped++
+	e := p.get(oid)
+	e.prof.PutsShipped++
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -284,7 +344,9 @@ func (p *Profiler) RecordPutApplied(oid uint64) {
 		return
 	}
 	p.mu.Lock()
-	p.get(oid).PutsApplied++
+	e := p.get(oid)
+	e.prof.PutsApplied++
+	p.touch(e)
 	p.mu.Unlock()
 }
 
@@ -299,8 +361,8 @@ func (p *Profiler) FaultCost(oid uint64) (cost time.Duration, ok bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if o, have := p.objects[oid]; have && o.RemoteDemands > 0 {
-		return time.Duration(o.FaultNS / int64(o.RemoteDemands)), true
+	if e, have := p.objects[oid]; have && e.prof.RemoteDemands > 0 {
+		return time.Duration(e.prof.FaultNS / int64(e.prof.RemoteDemands)), true
 	}
 	if p.totDemands > 0 {
 		return time.Duration(p.totFaultNS / int64(p.totDemands)), true
@@ -329,8 +391,8 @@ func (p *Profiler) Snapshot(site string, nowNS int64, topK int) *ProfileSnapshot
 	out.Tracked = uint64(len(p.objects))
 	out.Evicted = p.evicted
 	out.Objects = make([]ObjectProfile, 0, len(p.objects))
-	for _, o := range p.objects {
-		out.Objects = append(out.Objects, *o)
+	for _, e := range p.cold {
+		out.Objects = append(out.Objects, e.prof)
 	}
 	p.mu.Unlock()
 	sort.Slice(out.Objects, func(i, j int) bool {

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +112,175 @@ func TestProfilerTopKOrderAndEviction(t *testing.T) {
 	}
 	if _, ok := snap.Get(1); ok {
 		t.Fatal("evicted object still tracked")
+	}
+}
+
+// linearProfiler is the profiler's original eviction, kept as the
+// reference the cold heap must reproduce: at capacity, scan every tracked
+// profile for the lowest heat, highest OID on ties.
+type linearProfiler struct {
+	capacity int
+	objects  map[uint64]*ObjectProfile
+	evicted  uint64
+}
+
+func (p *linearProfiler) get(oid uint64) *ObjectProfile {
+	if o, ok := p.objects[oid]; ok {
+		return o
+	}
+	if len(p.objects) >= p.capacity {
+		var coldOID uint64
+		coldHeat := ^uint64(0)
+		for id, o := range p.objects {
+			h := o.Heat()
+			if h < coldHeat || (h == coldHeat && id > coldOID) {
+				coldOID, coldHeat = id, h
+			}
+		}
+		delete(p.objects, coldOID)
+		p.evicted++
+	}
+	o := &ObjectProfile{OID: oid}
+	p.objects[oid] = o
+	return o
+}
+
+func (p *linearProfiler) snapshot() []ObjectProfile {
+	out := make([]ObjectProfile, 0, len(p.objects))
+	for _, o := range p.objects {
+		out = append(out, *o)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if hi, hj := out[i].Heat(), out[j].Heat(); hi != hj {
+			return hi > hj
+		}
+		return out[i].OID < out[j].OID
+	})
+	return out
+}
+
+// profileOp is one seeded Record* call, applied to both profilers.
+type profileOp struct {
+	kind           int
+	oid            uint64
+	flag, cluster  bool
+	objects, bytes int
+	elapsed        time.Duration
+}
+
+func (op profileOp) record(p *Profiler) {
+	switch op.kind {
+	case 0:
+		p.RecordFault(op.oid, op.flag, op.cluster, op.objects, op.bytes, op.elapsed)
+	case 1:
+		p.RecordRefresh(op.oid, op.cluster, op.objects, op.bytes, op.elapsed)
+	case 2:
+		p.RecordServe(op.oid, op.objects, op.bytes)
+	case 3:
+		p.RecordInvoke(op.oid, op.flag)
+	case 4:
+		p.RecordPutShipped(op.oid)
+	default:
+		p.RecordPutApplied(op.oid)
+	}
+}
+
+func (op profileOp) recordLinear(p *linearProfiler) {
+	o := p.get(op.oid)
+	demand := func() {
+		o.RemoteDemands++
+		if op.cluster {
+			o.ClusterDemands++
+		}
+		o.DemandObjects += uint64(op.objects)
+		o.DemandBytes += uint64(op.bytes)
+		o.FaultNS += int64(op.elapsed)
+	}
+	switch op.kind {
+	case 0:
+		o.Faults++
+		if op.flag {
+			o.HeapHits++
+		} else {
+			demand()
+		}
+	case 1:
+		demand()
+	case 2:
+		o.Serves++
+		o.ServeObjects += uint64(op.objects)
+		o.ServeBytes += uint64(op.bytes)
+	case 3:
+		if op.flag {
+			o.RMICalls++
+		} else {
+			o.LMICalls++
+		}
+	case 4:
+		o.PutsShipped++
+	default:
+		o.PutsApplied++
+	}
+}
+
+// TestProfilerHeapEvictionMatchesLinearScan drives seeded random Record*
+// streams into the profiler and into the linear-scan reference, over a
+// working set several times the capacity with a hot subset, so evictions,
+// heat ties and promotions are all common. Both must keep the same
+// profiles with the same counters and evict the same number.
+func TestProfilerHeapEvictionMatchesLinearScan(t *testing.T) {
+	for _, capacity := range []int{1, 3, 256} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := NewProfiler(capacity)
+			ref := &linearProfiler{capacity: capacity, objects: map[uint64]*ObjectProfile{}}
+			span, hot := 4*capacity+3, capacity/2+1
+			ops := 40 * (capacity + 10)
+			for i := 1; i <= ops; i++ {
+				oid := uint64(rng.Intn(span))
+				if rng.Intn(2) == 0 {
+					oid = uint64(rng.Intn(hot))
+				}
+				op := profileOp{
+					kind: rng.Intn(6), oid: oid,
+					flag: rng.Intn(2) == 0, cluster: rng.Intn(3) == 0,
+					objects: rng.Intn(8), bytes: rng.Intn(4096),
+					elapsed: time.Duration(rng.Intn(1e6)),
+				}
+				op.record(p)
+				op.recordLinear(ref)
+				if i%(capacity+7) != 0 && i != ops {
+					continue
+				}
+				snap := p.Snapshot("s", 0, 0)
+				if snap.Tracked != uint64(len(ref.objects)) || snap.Evicted != ref.evicted {
+					t.Fatalf("cap %d seed %d op %d: tracked/evicted %d/%d, reference %d/%d",
+						capacity, seed, i, snap.Tracked, snap.Evicted, len(ref.objects), ref.evicted)
+				}
+				if want := ref.snapshot(); !reflect.DeepEqual(snap.Objects, want) {
+					t.Fatalf("cap %d seed %d op %d: snapshot differs from the linear scan\n got %+v\nwant %+v",
+						capacity, seed, i, snap.Objects, want)
+				}
+			}
+			if ref.evicted == 0 {
+				t.Fatalf("cap %d seed %d: stream never evicted", capacity, seed)
+			}
+		}
+	}
+}
+
+// BenchmarkProfilerThrash cycles a working set 16 times the profiler's
+// capacity, so every record meets an untracked OID at capacity and evicts.
+func BenchmarkProfilerThrash(b *testing.B) {
+	p := NewProfiler(0)
+	working := uint64(16 * defaultProfileCapacity)
+	for oid := uint64(0); oid < working; oid++ {
+		p.RecordInvoke(oid, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.RecordInvoke(uint64(i)%working, true)
 	}
 }
 

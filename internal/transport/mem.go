@@ -276,10 +276,18 @@ type queuedMsg struct {
 // Its wakeups go through a clock-aware Cond: under a virtual clock a
 // blocked reader counts as idle, and a push transfers it a busy token
 // before signalling, so quiescence detection stays exact.
+//
+// The queued messages are items[head:]. The backing array is reused:
+// pop rewinds it when the queue drains, and a push that finds it full
+// slides the backlog to the front when at least half of it is consumed
+// (so each slide frees as many slots as it copies) and lets append grow
+// it otherwise. A queue that keeps up with its traffic allocates nothing
+// per message.
 type msgQueue struct {
 	mu     sync.Mutex
 	cond   *netsim.Cond
 	items  []queuedMsg
+	head   int
 	closed bool
 }
 
@@ -294,6 +302,10 @@ func (q *msgQueue) push(m queuedMsg) error {
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
+	}
+	if len(q.items) == cap(q.items) && q.head > 0 && q.head >= len(q.items)/2 {
+		q.items = q.items[:copy(q.items, q.items[q.head:])]
+		q.head = 0
 	}
 	q.items = append(q.items, m)
 	// Wake the reader at the message's delivery time, not at push time:
@@ -315,8 +327,12 @@ func (q *msgQueue) pop() (queuedMsg, error) {
 		q.mu.Unlock()
 		return queuedMsg{}, ErrClosed
 	}
-	m := q.items[0]
-	q.items = q.items[1:]
+	m := q.items[q.head]
+	q.items[q.head] = queuedMsg{} // drop the payload reference
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	q.mu.Unlock()
 	return m, nil
 }

@@ -419,3 +419,63 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
+
+// TestMsgQueueReusesBackingArray drives the delivery queue through
+// backlogs that grow, drain partly and slide to the front of the backing
+// array, and checks FIFO order, drain-after-close and that a queue which
+// keeps up with its traffic allocates nothing per message.
+func TestMsgQueueReusesBackingArray(t *testing.T) {
+	q := newMsgQueue(netsim.Real())
+	payload := [][]byte{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
+	var pushed, popped int
+	push := func() {
+		if err := q.push(queuedMsg{data: payload[pushed%len(payload)]}); err != nil {
+			t.Fatalf("push %d: %v", pushed, err)
+		}
+		pushed++
+	}
+	pop := func() {
+		m, err := q.pop()
+		if err != nil {
+			t.Fatalf("pop %d: %v", popped, err)
+		}
+		if m.data[0] != byte(popped%len(payload)) {
+			t.Fatalf("out of order: got %d at position %d", m.data[0], popped)
+		}
+		popped++
+	}
+	// Backlogs of 1..40 messages, each drained to a different depth.
+	for round := 1; round <= 40; round++ {
+		for i := 0; i < round; i++ {
+			push()
+		}
+		for i := 0; i < round/2+1 && popped < pushed; i++ {
+			pop()
+		}
+	}
+	for popped < pushed {
+		pop()
+	}
+	steady := func() {
+		for i := 0; i < 1000; i++ {
+			push()
+			push()
+			pop()
+			pop()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, steady); allocs != 0 {
+		t.Fatalf("1000 steady push/pop pairs allocate %.0f times, want 0", allocs)
+	}
+	push()
+	push()
+	q.close()
+	if err := q.push(queuedMsg{data: payload[0]}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("push after close: %v", err)
+	}
+	pop()
+	pop()
+	if _, err := q.pop(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after drain, want ErrClosed, got %v", err)
+	}
+}
